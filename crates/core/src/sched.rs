@@ -23,7 +23,7 @@
 //!
 //! Either way the queue is condvar-signalled: pushes, completions, steal
 //! requests and shutdown wake `θ_main` immediately instead of the seed's
-//! blind `poll_sleep`.
+//! blind idle-poll sleep.
 //!
 //! Changing *when* and *where* a plan is dispatched never changes the
 //! trained model: all task randomness derives from the scheduling-invariant
@@ -700,7 +700,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Condvar wakeup (satellite: no blind poll_sleep).
+    // Condvar wakeup (no blind idle-poll sleep).
     // ------------------------------------------------------------------
 
     #[test]

@@ -28,11 +28,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ts_datatable::{AttrType, BinnedColumn, Column, Labels, SortedColumn, Task, ValuesBuf};
+use ts_datatable::{
+    AttrType, BinCuts, BinnedColumn, Column, Labels, SortedColumn, Task, ValuesBuf,
+};
 use ts_netsim::{BusyGuard, Fabric, FabricReceiver, NetStats, NodeId};
 use ts_obs::TraceCtx;
 use ts_splits::exact::ColumnSplit;
-use ts_splits::hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
+use ts_splits::hist::{
+    best_hist_gain_at, best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef,
+};
 use ts_splits::impurity::Impurity;
 use ts_splits::impurity::{LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
@@ -214,6 +218,26 @@ pub struct Worker {
     computing: AtomicI64,
 }
 
+/// Builds a column's load-time indices — the presorted order and, in
+/// histogram mode (`hist_bins`), a numeric column's bin index — sorting the
+/// column once: the bin cuts come from the presorted values. The launch
+/// roster and joiners (`install_columns`) both build through here, so they
+/// hold identical indices.
+fn build_indices(
+    col: &Column,
+    hist_bins: Option<usize>,
+) -> (Arc<SortedColumn>, Option<Arc<BinnedColumn>>) {
+    let sorted = SortedColumn::build(col);
+    let binned = match (hist_bins, col.as_numeric()) {
+        (Some(bins), Some(v)) => Some(Arc::new(BinnedColumn::with_cuts(
+            v,
+            BinCuts::equi_depth_sorted(sorted.numeric_values(), bins),
+        ))),
+        _ => None,
+    };
+    (Arc::new(sorted), binned)
+}
+
 impl Worker {
     /// Creates a worker holding `columns` (attr id → column) plus the full
     /// label column, and spawns its threads. Returns the join handles.
@@ -236,20 +260,15 @@ impl Worker {
     ) -> Vec<std::thread::JoinHandle<()>> {
         let (ready_tx, ready_rx) = tschan::unbounded();
         let stats = Arc::clone(fabric_task.stats());
-        let sorted: HashMap<usize, Arc<SortedColumn>> = columns
-            .iter()
-            .map(|(&attr, col)| (attr, Arc::new(SortedColumn::build(col))))
-            .collect();
-        let binned: HashMap<usize, Arc<BinnedColumn>> = match hist_bins {
-            Some(bins) => columns
-                .iter()
-                .filter_map(|(&attr, col)| {
-                    col.as_numeric()
-                        .map(|v| (attr, Arc::new(BinnedColumn::build(v, bins))))
-                })
-                .collect(),
-            None => HashMap::new(),
-        };
+        let mut sorted = HashMap::with_capacity(columns.len());
+        let mut binned = HashMap::new();
+        for (&attr, col) in &columns {
+            let (s, b) = build_indices(col, hist_bins);
+            sorted.insert(attr, s);
+            if let Some(b) = b {
+                binned.insert(attr, b);
+            }
+        }
         // The resident column data is the memory baseline of the machine
         // ("most memory is used to hold data columns", Table III discussion);
         // histogram mode adds its compact bin ids on top.
@@ -450,13 +469,11 @@ impl Worker {
         let mut binned = self.binned.write();
         for (attr, col) in columns {
             self.stats.mem_alloc(self.id, col.payload_bytes());
-            sorted.insert(attr, Arc::new(SortedColumn::build(&col)));
-            if let Some(bins) = self.hist_bins {
-                if let Some(v) = col.as_numeric() {
-                    let b = BinnedColumn::build(v, bins);
-                    self.stats.mem_alloc(self.id, b.payload_bytes());
-                    binned.insert(attr, Arc::new(b));
-                }
+            let (s, b) = build_indices(&col, self.hist_bins);
+            sorted.insert(attr, s);
+            if let Some(b) = b {
+                self.stats.mem_alloc(self.id, b.payload_bytes());
+                binned.insert(attr, b);
             }
             store.insert(attr, Arc::new(col));
         }
@@ -1174,10 +1191,11 @@ impl Worker {
     }
 
     fn compute_column_task(&self, plan: ColumnPlan, ix: RowSet) -> Option<TaskMsg> {
-        // Both split engines touch every (row, column) pair of the task once,
-        // so the modeled compute charge is identical — the histogram path's
-        // savings are wire bytes and the extra tree level of candidates the
-        // master never has to rank, not scan work.
+        // Both split engines touch every (row, column) pair of the task, so
+        // the modeled compute charge is identical. Measured scan work is
+        // not: the histogram path scores each column in one pass over its
+        // compact bin ids and builds child stats only for the elected column
+        // (on `HistFetch`), on top of its wire-byte savings.
         self.model_work(ix.len(self.n_rows) as u64 * plan.cols.len() as u64);
         if plan.random_seed.is_none() {
             if let Some(conf) = plan.hist {
@@ -1299,32 +1317,33 @@ impl Worker {
         })
     }
 
-    /// One column through the histogram engine over a node's rows.
-    fn hist_split_for(
+    /// One held column paired with its bin index, and the node's rows, as
+    /// the histogram engine takes them.
+    fn hist_input<'a>(
         &self,
-        store: &HashMap<usize, Arc<Column>>,
-        binned_store: &HashMap<usize, Arc<BinnedColumn>>,
+        store: &'a HashMap<usize, Arc<Column>>,
+        binned_store: &'a HashMap<usize, Arc<BinnedColumn>>,
         attr: usize,
-        ix: &RowSet,
-        view: LabelView<'_>,
-        imp: Impurity,
-    ) -> Option<ColumnSplit> {
+        ix: &'a RowSet,
+    ) -> (HistColumnRef<'a>, NodeRows<'a>) {
         let col = store.get(&attr).expect("assigned column must be held");
         let cref = HistColumnRef::of_column(
             col,
             binned_store.get(&attr).map(|b| &**b),
             self.attr_types[attr],
         );
-        match ix {
-            RowSet::All => best_hist_split_at(cref, NodeRows::All(self.n_rows), view, imp),
-            RowSet::Ids(v) => best_hist_split_at(cref, NodeRows::Subset(v), view, imp),
-        }
+        let node = match ix {
+            RowSet::All => NodeRows::All(self.n_rows),
+            RowSet::Ids(v) => NodeRows::Subset(v),
+        };
+        (cref, node)
     }
 
     /// Histogram-mode column task (`--splitter hist`): score every assigned
-    /// column with the quantized kernel, nominate the local top `vote_k`
-    /// candidate gains, and park `Ix` awaiting the master's election. The
-    /// full split of the elected attribute is shipped only on `HistFetch`.
+    /// column with the quantized kernel's gain-only core, nominate the local
+    /// top `vote_k` candidate gains, and park `Ix` awaiting the master's
+    /// election. Child stats are built, and the full split shipped, only for
+    /// the elected attribute on `HistFetch`.
     fn compute_hist_column_task(
         &self,
         plan: ColumnPlan,
@@ -1350,18 +1369,9 @@ impl Worker {
             let binned_store = self.binned.read();
             let mut cands = Vec::with_capacity(plan.cols.len());
             for &attr in &plan.cols {
-                if let Some(split) = self.hist_split_for(
-                    &store,
-                    &binned_store,
-                    attr,
-                    &ix,
-                    view,
-                    plan.params.impurity,
-                ) {
-                    cands.push(HistCandidate {
-                        attr,
-                        gain: split.gain,
-                    });
+                let (cref, node) = self.hist_input(&store, &binned_store, attr, &ix);
+                if let Some(gain) = best_hist_gain_at(cref, node, view, plan.params.impurity) {
+                    cands.push(HistCandidate { attr, gain });
                 }
             }
             cands
@@ -1396,10 +1406,10 @@ impl Worker {
     }
 
     /// The master elected one of our nominated attributes: recompute its
-    /// full split over the retained `Ix` (same kernel, same rows, same
-    /// criterion — the gain is bit-identical to the nominated one), remember
-    /// the winning condition for the `ConfirmBest` that follows on this same
-    /// FIFO edge, and ship the full result.
+    /// full split, child stats included, over the retained `Ix` (same score
+    /// core, same rows, same criterion — the gain is bit-identical to the
+    /// nominated one), remember the winning condition for the `ConfirmBest`
+    /// that follows on this same FIFO edge, and ship the full result.
     fn on_hist_fetch(&self, task: TaskId, attr: usize, ctx: TraceCtx) {
         let (ix, imp) = {
             let st = self.state.lock();
@@ -1417,7 +1427,8 @@ impl Worker {
             let view = LabelView::of(&y, self.n_classes());
             let store = self.columns.read();
             let binned_store = self.binned.read();
-            let split = self.hist_split_for(&store, &binned_store, attr, &ix, view, imp);
+            let (cref, node) = self.hist_input(&store, &binned_store, attr, &ix);
+            let split = best_hist_split_at(cref, node, view, imp);
             split.map(|split| {
                 let seen = match self.attr_types[attr] {
                     AttrType::Categorical { n_values } => match &ix {

@@ -12,9 +12,9 @@
 //!    counters (`ClusterReport::split_bytes_sent` / `hist_bytes_sent`).
 
 use std::time::Duration;
-use treeserver::{Cluster, ClusterConfig, FaultPlan, JobSpec, Splitter};
+use treeserver::{train_gbt, Cluster, ClusterConfig, FaultPlan, GbtConfig, JobSpec, Splitter};
 use ts_datatable::metrics::accuracy;
-use ts_datatable::synth::{generate, SynthSpec};
+use ts_datatable::synth::{generate, PaperDataset, SynthSpec};
 use ts_datatable::{DataTable, Task};
 
 const HIST: Splitter = Splitter::Histogram {
@@ -131,6 +131,38 @@ fn hist_models_survive_mid_run_joins_unchanged() {
         Some(FaultPlan::new(env_seed(0xB135)).with_worker_join(Duration::from_millis(8), 1));
     let joined = train_tree(jcfg, &t);
     assert_eq!(joined, base, "a mid-run join changed a histogram model");
+}
+
+/// FNV-1a (64-bit) of a string: a stable digest for pinned models.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn boosted_hist_model_matches_pinned_digest() {
+    // Golden pin: a small SUSY-shaped boosted histogram model must keep
+    // its exact bytes across kernel and index rewrites. A change to this
+    // digest is a model change and needs a reason, not a re-pin.
+    const GOLDEN: u64 = 0x38df_0890_f0e9_a277;
+    let t = PaperDataset::Susy.generate(0.004, 20_220_513);
+    assert_eq!(t.n_rows(), 20_000);
+    for steal in [false, true] {
+        let c = ClusterConfig {
+            n_workers: 4,
+            tau_d: 1_000,
+            steal,
+            ..cfg(HIST)
+        };
+        let model = train_gbt(c, &t, GbtConfig::for_task(t.schema().task).with_rounds(5));
+        let json = tsjson::to_string(&model).expect("model serializes");
+        assert_eq!(
+            fnv1a(&json),
+            GOLDEN,
+            "steal={steal}: boosted histogram model digest moved"
+        );
+    }
 }
 
 #[cfg(feature = "obs")]

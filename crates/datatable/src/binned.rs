@@ -45,9 +45,22 @@ impl BinCuts {
     /// engages above that, and always deduplicates, so cuts are strictly
     /// increasing for any input.
     pub fn equi_depth(values: &[f64], max_bins: usize) -> BinCuts {
-        assert!(max_bins >= 2, "need at least two bins");
         let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
         sorted.sort_unstable_by(f64::total_cmp);
+        Self::equi_depth_sorted(&sorted, max_bins)
+    }
+
+    /// [`Self::equi_depth`] over a column's present values already sorted
+    /// by `f64::total_cmp` — e.g. [`crate::SortedColumn::numeric_values`],
+    /// so a column indexed both ways is sorted once. Same cuts as
+    /// `equi_depth` over the raw column.
+    pub fn equi_depth_sorted(sorted: &[f64], max_bins: usize) -> BinCuts {
+        assert!(max_bins >= 2, "need at least two bins");
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())
+                && sorted.iter().all(|v| !v.is_nan()),
+            "equi_depth_sorted needs NaN-free total_cmp-sorted values"
+        );
         if sorted.is_empty() {
             return BinCuts { cuts: Vec::new() };
         }
@@ -58,7 +71,7 @@ impl BinCuts {
         // lands inside the dominant run), producing no usable cut even
         // though an exact split exists.
         let mut distinct: Vec<f64> = Vec::new();
-        for &v in &sorted {
+        for &v in sorted {
             if distinct.last().is_none_or(|&last| v > last) {
                 distinct.push(v);
             }
@@ -226,6 +239,12 @@ impl BinnedColumn {
             BinIds::U8(v) => v[row] as usize,
             BinIds::U16(v) => v[row] as usize,
         }
+    }
+
+    /// The id payload, for kernels that match the id width once per pass
+    /// instead of once per row.
+    pub fn ids(&self) -> &BinIds {
+        &self.ids
     }
 
     /// In-memory size of the id payload plus cuts (for memory accounting).

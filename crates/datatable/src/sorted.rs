@@ -61,19 +61,25 @@ impl SortedColumn {
     }
 
     /// Presorted index over a numeric slice.
+    ///
+    /// Sorts contiguous `(key, row)` pairs, where the key is the value's
+    /// bit pattern remapped so unsigned order is `f64::total_cmp` order: the
+    /// result is the `(total_cmp, row id)` order without an indirect
+    /// comparator, and the values decode straight back from the keys.
     pub fn from_numeric(values: &[f64]) -> Self {
-        let mut order: Vec<u32> = (0..values.len() as u32)
-            .filter(|&r| !values[r as usize].is_nan())
+        let mut keyed: Vec<(u64, u32)> = values
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(r, &v)| (total_order_key(v), r as u32))
             .collect();
-        order.sort_unstable_by(|&a, &b| {
-            values[a as usize]
-                .total_cmp(&values[b as usize])
-                .then(a.cmp(&b))
-        });
-        let sorted_values = order.iter().map(|&r| values[r as usize]).collect();
+        keyed.sort_unstable();
         SortedColumn::Numeric {
-            order,
-            values: sorted_values,
+            order: keyed.iter().map(|&(_, r)| r).collect(),
+            values: keyed
+                .iter()
+                .map(|&(k, _)| from_total_order_key(k))
+                .collect(),
         }
     }
 
@@ -137,6 +143,26 @@ impl SortedColumn {
             SortedColumn::Categorical { distinct } => distinct.len() * std::mem::size_of::<u32>(),
         }
     }
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order is `f64::total_cmp`
+/// order: negative values have every bit flipped, the rest only the sign.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// Inverse of [`total_order_key`], bit for bit.
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! accumulating per-*bin* label aggregates against the column's load-time
 //! [`BinnedColumn`] index, then scan the `O(bins)` bin boundaries — the
 //! LightGBM/PV-Tree structure (Meng et al. 2016; Vasiloudis et al. 2019)
-//! layered on this repo's column-partitioned engine.
+//! layered on this repo's column-partitioned engine. Child statistics take
+//! a second pass, so top-k nominations score with [`best_hist_gain_at`]
+//! and only the elected column pays for them ([`best_hist_split_at`]).
 //!
 //! # Determinism contract
 //!
@@ -38,33 +40,68 @@ use crate::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, child_stats_at, with_cat_class,
     with_cat_reg, with_class_pair, NodeRows,
 };
-use ts_datatable::{AttrType, BinnedColumn, Column};
+use ts_datatable::{AttrType, BinIds, BinnedColumn, Column};
 
-/// Best bin-boundary split of a binned numeric column over a node's rows.
-///
-/// One `O(|Ix|)` accumulation into pooled per-bin aggregates (missing rows
-/// land in the reserved trailing slot), then an `O(bins)` prefix scan over
-/// boundary candidates. Semantics mirror the mergeable
-/// [`crate::histogram::NumericHistogram::best_split`] baseline: threshold at
-/// the bin's upper cut, positive gain only, missing rows routed to the
-/// larger present side and included in the returned child stats.
-pub fn best_hist_split_numeric_at(
+/// The winning boundary of a numeric histogram scan, before any child
+/// statistics are built: what a nomination needs, and all the finish step
+/// needs to rebuild the full split.
+#[derive(Debug, Clone, Copy)]
+struct HistScore {
+    gain: f64,
+    /// Last bin routed left (`v <= cuts[bin]`).
+    bin: usize,
+    missing_left: bool,
+}
+
+/// Calls `add(slot, row)` for every node row in ascending order. The id
+/// width and row-set shape are matched once here, so the per-row loop is a
+/// plain slice walk with no per-row dispatch.
+#[inline(always)]
+fn for_each_slot(binned: &BinnedColumn, node: NodeRows<'_>, mut add: impl FnMut(usize, usize)) {
+    #[inline(always)]
+    fn walk<T: Copy + Into<usize>>(
+        ids: &[T],
+        node: NodeRows<'_>,
+        add: &mut impl FnMut(usize, usize),
+    ) {
+        match node {
+            NodeRows::All(n) => {
+                for (r, &id) in ids[..n].iter().enumerate() {
+                    add(id.into(), r);
+                }
+            }
+            NodeRows::Subset(rows) => {
+                for &r in rows {
+                    add(ids[r as usize].into(), r as usize);
+                }
+            }
+        }
+    }
+    match binned.ids() {
+        BinIds::U8(ids) => walk(ids, node, &mut add),
+        BinIds::U16(ids) => walk(ids, node, &mut add),
+    }
+}
+
+/// The score core: one `O(|Ix|)` accumulation into pooled per-bin
+/// aggregates (missing rows land in the reserved trailing slot), then an
+/// `O(bins)` prefix scan over boundary candidates. Missing rows go to the
+/// larger present side.
+fn score_numeric_at(
     binned: &BinnedColumn,
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     imp: Impurity,
-) -> Option<ColumnSplit> {
-    let cuts = binned.cuts();
-    if cuts.cuts().is_empty() {
+) -> Option<HistScore> {
+    let n_cuts = binned.cuts().cuts().len();
+    if n_cuts == 0 {
         return None; // single overflow bin: no boundary to split at
     }
     let n_slots = binned.n_bins() + 1; // + reserved missing slot
     let missing_slot = binned.missing_bin();
     match labels {
         LabelView::Class(ys, k) => with_cat_class(n_slots as u32, k, |slots, _spare| {
-            for r in node.iter() {
-                slots[binned.id(r as usize)].add(ys[r as usize]);
-            }
+            for_each_slot(binned, node, |s, r| slots[s].add(ys[r]));
             with_class_pair(k, |left, total| {
                 for b in &slots[..missing_slot] {
                     total.merge(b);
@@ -75,7 +112,7 @@ pub fn best_hist_split_numeric_at(
                 let total_w = total.weighted_impurity(imp);
                 let mut best: Option<(f64, usize)> = None;
                 let mut n_best_left = 0;
-                for (b, agg) in slots.iter().enumerate().take(cuts.cuts().len()) {
+                for (b, agg) in slots.iter().enumerate().take(n_cuts) {
                     left.merge(agg);
                     if left.total() == 0 || left.total() == total.total() {
                         continue;
@@ -87,29 +124,16 @@ pub fn best_hist_split_numeric_at(
                         n_best_left = left.total();
                     }
                 }
-                let (gain, b) = best?;
-                let missing_left = n_best_left >= total.total() - n_best_left;
-                let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-                    let s = binned.id(i);
-                    if s == missing_slot {
-                        None
-                    } else {
-                        Some(s <= b)
-                    }
-                });
-                Some(ColumnSplit {
-                    test: SplitTest::NumericLe(cuts.cuts()[b]),
+                let (gain, bin) = best?;
+                Some(HistScore {
                     gain,
-                    missing_left,
-                    left,
-                    right,
+                    bin,
+                    missing_left: n_best_left >= total.total() - n_best_left,
                 })
             })
         }),
         LabelView::Real(ys) => with_cat_reg(n_slots as u32, |slots, _spare| {
-            for r in node.iter() {
-                slots[binned.id(r as usize)].add(ys[r as usize]);
-            }
+            for_each_slot(binned, node, |s, r| slots[s].add(ys[r]));
             let mut total = RegAgg::default();
             for b in &slots[..missing_slot] {
                 total.merge(b);
@@ -121,7 +145,7 @@ pub fn best_hist_split_numeric_at(
             let mut left = RegAgg::default();
             let mut best: Option<(f64, usize)> = None;
             let mut n_best_left = 0;
-            for (b, agg) in slots.iter().enumerate().take(cuts.cuts().len()) {
+            for (b, agg) in slots.iter().enumerate().take(n_cuts) {
                 left.merge(agg);
                 if left.n == 0 || left.n == total.n {
                     continue;
@@ -137,25 +161,53 @@ pub fn best_hist_split_numeric_at(
                     n_best_left = left.n;
                 }
             }
-            let (gain, b) = best?;
-            let missing_left = n_best_left >= total.n - n_best_left;
-            let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-                let s = binned.id(i);
-                if s == missing_slot {
-                    None
-                } else {
-                    Some(s <= b)
-                }
-            });
-            Some(ColumnSplit {
-                test: SplitTest::NumericLe(cuts.cuts()[b]),
+            let (gain, bin) = best?;
+            Some(HistScore {
                 gain,
-                missing_left,
-                left,
-                right,
+                bin,
+                missing_left: n_best_left >= total.n - n_best_left,
             })
         }),
     }
+}
+
+/// The finish step: a second pass over the node's rows that builds the
+/// scored boundary's child statistics (missing rows included on their
+/// side).
+fn finish_numeric_at(
+    binned: &BinnedColumn,
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    score: HistScore,
+) -> ColumnSplit {
+    let missing_slot = binned.missing_bin();
+    let (left, right) = child_stats_at(node, labels, score.missing_left, |i| {
+        let s = binned.id(i);
+        (s != missing_slot).then_some(s <= score.bin)
+    });
+    ColumnSplit {
+        test: SplitTest::NumericLe(binned.cuts().cuts()[score.bin]),
+        gain: score.gain,
+        missing_left: score.missing_left,
+        left,
+        right,
+    }
+}
+
+/// Best bin-boundary split of a binned numeric column over a node's rows:
+/// the score core followed by the finish step. Semantics mirror the
+/// mergeable [`crate::histogram::NumericHistogram::best_split`] baseline:
+/// threshold at the bin's upper cut, positive gain only, missing rows
+/// routed to the larger present side and included in the returned child
+/// stats.
+pub fn best_hist_split_numeric_at(
+    binned: &BinnedColumn,
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    let score = score_numeric_at(binned, node, labels, imp)?;
+    Some(finish_numeric_at(binned, node, labels, score))
 }
 
 /// A borrowed column ready for the histogram engine: numeric attributes go
@@ -213,6 +265,26 @@ pub fn best_hist_split_at(
         }
         (HistColumnRef::Categorical { codes, n_values }, LabelView::Real(ys)) => {
             best_cat_split_regression_at(codes, n_values, node, ys)
+        }
+    }
+}
+
+/// The gain [`best_hist_split_at`] would report, without building child
+/// statistics for numeric columns — all a top-k nomination ships. Equal to
+/// `best_hist_split_at(..).map(|s| s.gain)` bit for bit: numeric columns
+/// run the same score core, categoricals the same kernels.
+pub fn best_hist_gain_at(
+    col: HistColumnRef<'_>,
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<f64> {
+    match col {
+        HistColumnRef::Numeric { binned } => {
+            score_numeric_at(binned, node, labels, imp).map(|s| s.gain)
+        }
+        HistColumnRef::Categorical { .. } => {
+            best_hist_split_at(col, node, labels, imp).map(|s| s.gain)
         }
     }
 }

@@ -43,6 +43,8 @@ pub mod sorted;
 
 pub use condition::{partition_positions, partition_rows, partition_rows_buf, SplitTest};
 pub use exact::{best_split_for_column, ColumnSplit};
-pub use hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
+pub use hist::{
+    best_hist_gain_at, best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef,
+};
 pub use impurity::{Impurity, LabelView, NodeStats};
 pub use sorted::{best_split_at, kernel_counters, ColumnRef, KernelCounters, NodeRows, RowBitmap};

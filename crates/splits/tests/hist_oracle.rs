@@ -16,11 +16,18 @@
 //!   exact gain — and on planted threshold signal it must capture most of
 //!   it, since equi-depth cuts land within one rank-quantile of any
 //!   boundary.
+//!
+//! Across both regimes the gain-only entry point the workers nominate from
+//! (`best_hist_gain_at`) must report exactly the gain of the full kernel
+//! the elected worker runs on fetch.
 
-use ts_datatable::{BinnedColumn, Column};
+use ts_datatable::{BinIds, BinnedColumn, Column};
 use ts_splits::condition::partition_rows;
 use ts_splits::exact::best_numeric_split;
-use ts_splits::hist::best_hist_split_numeric_at;
+use ts_splits::hist::{
+    best_hist_gain_at, best_hist_split_at, best_hist_split_numeric_at, HistColumnRef,
+};
+use ts_splits::histogram::NumericHistogram;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::sorted::NodeRows;
 use ts_splits::{top_k_candidates, HistCandidate};
@@ -40,6 +47,89 @@ fn few_distinct_data() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
             tscheck::collection::vec(0u32..3, n),
         )
     })
+}
+
+/// One seeded gain-vs-fetch case: a column with 1 (single bin), a few or
+/// ~all distinct present values and a share of NaN rows, class and real
+/// labels, and a node that is every row, an ascending subset or empty.
+struct GainCase {
+    values: Vec<f64>,
+    classes: Vec<u32>,
+    reals: Vec<f64>,
+    rows: Option<Vec<u32>>,
+}
+
+fn gain_case(seed: u64) -> GainCase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(1usize..1_200);
+    let levels: u32 = match rng.gen_range(0u32..4) {
+        0 => 1,
+        1 => rng.gen_range(2u32..12),
+        _ => u32::MAX, // continuous: enough distinct values for u16 ids
+    };
+    let nan_rate = [0.0, 0.05, 0.5][rng.gen_range(0usize..3)];
+    let values: Vec<f64> = (0..n)
+        .map(|_| {
+            if rng.gen::<f64>() < nan_rate {
+                f64::NAN
+            } else if levels == u32::MAX {
+                rng.gen::<f64>() * 10.0 - 5.0
+            } else {
+                f64::from(rng.gen_range(0..levels)) * 0.5
+            }
+        })
+        .collect();
+    let classes: Vec<u32> = values
+        .iter()
+        .map(|&v| {
+            if v > 0.7 {
+                u32::from(rng.gen::<f64>() < 0.8)
+            } else {
+                rng.gen_range(0u32..3)
+            }
+        })
+        .collect();
+    let reals: Vec<f64> = values
+        .iter()
+        .map(|&v| if v.is_nan() { 1.5 } else { v * 0.3 } + rng.gen::<f64>() * 0.1)
+        .collect();
+    let rows = match rng.gen_range(0u32..3) {
+        0 => None,
+        1 => Some(Vec::new()),
+        _ => {
+            let keep = rng.gen_range(0.05..0.95);
+            Some((0..n as u32).filter(|_| rng.gen::<f64>() < keep).collect())
+        }
+    };
+    GainCase {
+        values,
+        classes,
+        reals,
+        rows,
+    }
+}
+
+/// The mergeable per-bin histogram baseline over the node's rows: the
+/// oracle for the fetched split's gain, threshold and missing side.
+fn baseline_split(
+    binned: &BinnedColumn,
+    values: &[f64],
+    node: NodeRows<'_>,
+    view: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ts_splits::ColumnSplit> {
+    let cuts = binned.cuts();
+    let mut h = match view {
+        LabelView::Class(_, k) => NumericHistogram::new_class(cuts.n_bins(), k),
+        LabelView::Real(_) => NumericHistogram::new_reg(cuts.n_bins()),
+    };
+    for r in node.iter().map(|r| r as usize) {
+        match view {
+            LabelView::Class(ys, _) => h.add_class(cuts, values[r], ys[r]),
+            LabelView::Real(ys) => h.add_reg(cuts, values[r], ys[r]),
+        }
+    }
+    h.best_split(cuts, imp)
 }
 
 proptest! {
@@ -167,5 +257,67 @@ proptest! {
         let mut rotated = cands.clone();
         rotated.rotate_left(rot % cands.len());
         prop_assert_eq!(top_k_candidates(cands, k), top_k_candidates(rotated, k));
+    }
+
+    /// Gain-only scoring is the fetched kernel's gain, bit for bit, and the
+    /// fetched split is the baseline's boundary with child stats that match
+    /// its own routing — for `u8` (64 bins) and `u16` (300 bins) ids, full
+    /// and subset nodes, class and real labels.
+    #[test]
+    fn gain_only_scoring_matches_the_fetched_split(seed in any::<u64>()) {
+        let case = gain_case(seed);
+        let all: Vec<u32> = (0..case.values.len() as u32).collect();
+        let (node, ix) = match &case.rows {
+            None => (NodeRows::All(case.values.len()), &all),
+            Some(rows) => (NodeRows::Subset(rows), rows),
+        };
+        let col = Column::Numeric(case.values.clone());
+        for bins in [64, 300] {
+            let binned = BinnedColumn::build(&case.values, bins);
+            let wide = binned.n_bins() + 1 > 256;
+            prop_assert_eq!(matches!(binned.ids(), BinIds::U16(_)), wide);
+            let cref = HistColumnRef::Numeric { binned: &binned };
+            for (view, imp) in [
+                (LabelView::Class(&case.classes, 3), Impurity::Gini),
+                (LabelView::Class(&case.classes, 3), Impurity::Entropy),
+                (LabelView::Real(&case.reals), Impurity::Variance),
+            ] {
+                let gain = best_hist_gain_at(cref, node, view, imp);
+                let split = best_hist_split_at(cref, node, view, imp);
+                prop_assert_eq!(gain.map(f64::to_bits), split.as_ref().map(|s| s.gain.to_bits()));
+                let base = baseline_split(&binned, &case.values, node, view, imp);
+                match (&split, &base) {
+                    (None, None) => {}
+                    (Some(s), Some(b)) => {
+                        prop_assert_eq!(&s.test, &b.test);
+                        prop_assert_eq!(s.gain.to_bits(), b.gain.to_bits());
+                        prop_assert_eq!(s.missing_left, b.missing_left);
+                        let (l, r) = partition_rows(&col, ix, &s.test, s.missing_left);
+                        let ls = NodeStats::from_view_positions(view, l.iter().map(|&p| p as usize));
+                        let rs = NodeStats::from_view_positions(view, r.iter().map(|&p| p as usize));
+                        prop_assert_eq!(&ls, &s.left);
+                        prop_assert_eq!(&rs, &s.right);
+                    }
+                    (s, b) => prop_assert!(false, "split existence disagrees: kernel {:?} vs baseline {:?}", s, b),
+                }
+            }
+        }
+    }
+
+    /// Categoricals keep the full kernel: the gain-only entry point reports
+    /// its gain unchanged.
+    #[test]
+    fn gain_only_scoring_matches_categorical_kernel((values, ys) in few_distinct_data()) {
+        let codes: Vec<u32> = values
+            .iter()
+            .map(|v| if v.is_nan() { ts_datatable::MISSING_CAT } else { ((v + 7.0) / 1.5) as u32 })
+            .collect();
+        let cref = HistColumnRef::Categorical { codes: &codes, n_values: 12 };
+        let node = NodeRows::All(codes.len());
+        let view = LabelView::Class(&ys, 3);
+        prop_assert_eq!(
+            best_hist_gain_at(cref, node, view, Impurity::Gini).map(f64::to_bits),
+            best_hist_split_at(cref, node, view, Impurity::Gini).map(|s| s.gain.to_bits())
+        );
     }
 }
