@@ -17,10 +17,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use ts_datatable::{AttrType, DataTable, SortedColumn};
 use ts_netsim::{NetModel, NetStats};
-use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::partition_rows;
-use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows, RowBitmap};
+use ts_splits::sorted::{
+    distinct_categories_at, finish_split_at, fold_scores, score_split_at, ColumnRef, NodeRows,
+    RowBitmap,
+};
 use ts_tree::trainer::prediction_from_stats;
 use ts_tree::{DecisionTreeModel, Node, SplitInfo};
 
@@ -122,35 +124,25 @@ impl YggdrasilTrainer {
                 // ascending (the root is 0..n and partitions preserve
                 // order), so the engine's node mask is valid here.
                 let whole = rows.len() == n;
-                let mut best: Option<(usize, ColumnSplit)> = None;
-                {
-                    let (node, mask_ref) = if whole {
-                        (NodeRows::All(n), None)
-                    } else {
-                        mask.insert_all(&rows);
-                        (NodeRows::Subset(&rows), Some(&mask))
-                    };
-                    for &attr in candidates {
-                        let cref = ColumnRef::of_column(
-                            table.column(attr),
-                            &sorted[&attr],
-                            table.schema().attr_type(attr),
-                        );
-                        if let Some(s) =
-                            best_split_at(cref, node, mask_ref, view, self.cfg.impurity)
-                        {
-                            let wins = match &best {
-                                None => true,
-                                Some((battr, bs)) => {
-                                    ColumnSplit::challenger_wins(&s, attr, bs, *battr)
-                                }
-                            };
-                            if wins {
-                                best = Some((attr, s));
-                            }
-                        }
-                    }
-                }
+                let (node_rows, mask_ref) = if whole {
+                    (NodeRows::All(n), None)
+                } else {
+                    mask.insert_all(&rows);
+                    (NodeRows::Subset(&rows), Some(&mask))
+                };
+                let col = |attr: usize| {
+                    ColumnRef::of_column(
+                        table.column(attr),
+                        &sorted[&attr],
+                        table.schema().attr_type(attr),
+                    )
+                };
+                let scored = candidates.iter().filter_map(|&attr| {
+                    score_split_at(col(attr), node_rows, mask_ref, view, self.cfg.impurity)
+                        .map(|s| (attr, attr, s))
+                });
+                let best = fold_scores(scored)
+                    .map(|(attr, s)| (attr, finish_split_at(col(attr), node_rows, view, s)));
                 if !whole {
                     mask.remove_all(&rows);
                 }

@@ -24,7 +24,7 @@ use ts_splits::impurity::{Impurity, LabelView};
 use ts_splits::sketch::QuantileSketch;
 use ts_splits::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at_path,
-    NodeRows, NumericPath,
+    NodeRows, NumericPath, RowBitmap,
 };
 use tsrand::prelude::*;
 
@@ -32,6 +32,24 @@ fn data(n: usize, seed: u64) -> (Vec<f64>, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
     let ys: Vec<u32> = values.iter().map(|&v| u32::from(v > 3.0)).collect();
+    (values, ys)
+}
+
+/// A 7-class column (Covtype's class count): labels follow value bands
+/// with 10% of rows relabelled at random.
+fn data7(n: usize, seed: u64) -> (Vec<f64>, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
+    let ys: Vec<u32> = values
+        .iter()
+        .map(|&v| {
+            if rng.gen_range(0..10u32) == 0 {
+                rng.gen_range(0..7u32)
+            } else {
+                ((v + 100.0) / 200.0 * 7.0).min(6.0) as u32
+            }
+        })
+        .collect();
     (values, ys)
 }
 
@@ -126,6 +144,61 @@ fn main() {
             legacy_us,
             sorted_us,
         );
+    }
+
+    // Exact numeric splits over a node's row subset, on both explicit
+    // paths: the filtered scan walks the column's whole presorted order,
+    // the gather arm sorts just the node's rows. Their ratio across node
+    // fractions locates the crossover `sorted_scan_pays` approximates.
+    {
+        let n = 100_000;
+        let (values, ys) = data7(n, 6);
+        let index = SortedColumn::from_numeric(&values);
+        let mut rng = StdRng::seed_from_u64(7);
+        for denom in [2u32, 8, 16, 32, 64] {
+            let rows: Vec<u32> = (0..n as u32)
+                .filter(|_| rng.gen_range(0..denom) == 0)
+                .collect();
+            let mut mask = RowBitmap::with_rows(n);
+            mask.insert_all(&rows);
+            let time_path = |path| {
+                time_us(|| {
+                    black_box(best_numeric_split_at_path(
+                        path,
+                        black_box(&values),
+                        &index,
+                        NodeRows::Subset(&rows),
+                        Some(&mask),
+                        LabelView::Class(&ys, 7),
+                        Impurity::Gini,
+                    ));
+                })
+            };
+            let sorted_us = time_path(NumericPath::SortedScan);
+            let gather_us = time_path(NumericPath::GatherSort);
+            let base = format!("exact_numeric_subset/{n}_7cls/frac_1_{denom}");
+            report(&format!("{base}/sorted_scan"), sorted_us);
+            report(&format!("{base}/gather_sort"), gather_us);
+            println!(
+                "{:<48} {:>11.2}x",
+                format!("{base}/gather_over_sorted"),
+                gather_us / sorted_us
+            );
+            out.push(
+                &format!("{base}/sorted_scan"),
+                sorted_us * 1e-6,
+                rows.len(),
+                0,
+                None,
+            );
+            out.push(
+                &format!("{base}/gather_sort"),
+                gather_us * 1e-6,
+                rows.len(),
+                0,
+                None,
+            );
+        }
     }
 
     // Exact numeric splits, regression (variance impurity).

@@ -41,7 +41,8 @@ use ts_splits::impurity::Impurity;
 use ts_splits::impurity::{LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
 use ts_splits::sorted::{
-    best_split_at, distinct_categories_at, with_node_mask, ColumnRef, NodeRows, RowBitmap,
+    distinct_categories_at, finish_split_at, fold_scores, score_split_at, with_node_mask,
+    ColumnRef, NodeRows, RowBitmap,
 };
 use ts_splits::{partition_rows, SplitTest};
 use ts_tree::{train_subtree, LocalDataset, TrainMode, TrainParams};
@@ -1158,9 +1159,10 @@ impl Worker {
         }
     }
 
-    /// Runs the exact-split engine over each assigned column for one node,
-    /// folding the winners with the canonical tie-break (challenger order is
-    /// `plan.cols` order, the same on both kernel paths).
+    /// Runs the exact-split engine over each assigned column for one node:
+    /// scores every column, folds the scores with the canonical tie-break
+    /// (challenger order is `plan.cols` order, the same on both kernel
+    /// paths), then builds child stats for the winning column only.
     #[allow(clippy::too_many_arguments)]
     fn best_exact_split(
         &self,
@@ -1172,22 +1174,16 @@ impl Worker {
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<(usize, ColumnSplit)> {
-        let mut best: Option<(usize, ColumnSplit)> = None;
-        for &attr in cols {
+        let col = |attr: usize| {
             let col = store.get(&attr).expect("assigned column must be held");
             let index = sorted_store.get(&attr).expect("sorted index must be held");
-            let cref = ColumnRef::of_column(col, index, self.attr_types[attr]);
-            if let Some(s) = best_split_at(cref, node, mask, view, imp) {
-                let wins = match &best {
-                    None => true,
-                    Some((battr, bs)) => ColumnSplit::challenger_wins(&s, attr, bs, *battr),
-                };
-                if wins {
-                    best = Some((attr, s));
-                }
-            }
-        }
-        best
+            ColumnRef::of_column(col, index, self.attr_types[attr])
+        };
+        let scored = cols.iter().filter_map(|&attr| {
+            score_split_at(col(attr), node, mask, view, imp).map(|s| (attr, attr, s))
+        });
+        let (attr, best) = fold_scores(scored)?;
+        Some((attr, finish_split_at(col(attr), node, view, best)))
     }
 
     fn compute_column_task(&self, plan: ColumnPlan, ix: RowSet) -> Option<TaskMsg> {

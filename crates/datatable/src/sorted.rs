@@ -147,7 +147,9 @@ impl SortedColumn {
 
 /// Maps an `f64` to a `u64` whose unsigned order is `f64::total_cmp`
 /// order: negative values have every bit flipped, the rest only the sign.
-fn total_order_key(v: f64) -> u64 {
+/// Sorting `(key, row)` pairs with plain integer order therefore yields the
+/// `(f64::total_cmp, row)` order without an indirect comparator.
+pub fn total_order_key(v: f64) -> u64 {
     let bits = v.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -157,7 +159,7 @@ fn total_order_key(v: f64) -> u64 {
 }
 
 /// Inverse of [`total_order_key`], bit for bit.
-fn from_total_order_key(key: u64) -> f64 {
+pub fn from_total_order_key(key: u64) -> f64 {
     f64::from_bits(if key >> 63 == 1 {
         key & !(1 << 63)
     } else {

@@ -59,7 +59,23 @@ impl ColumnSplit {
         incumbent: &ColumnSplit,
         incumbent_attr: usize,
     ) -> bool {
-        match challenger.gain.total_cmp(&incumbent.gain) {
+        Self::gain_wins(
+            challenger.gain,
+            challenger_attr,
+            incumbent.gain,
+            incumbent_attr,
+        )
+    }
+
+    /// [`Self::challenger_wins`] on bare gains — the order the column folds
+    /// rank scores by before any child statistics exist.
+    pub fn gain_wins(
+        challenger_gain: f64,
+        challenger_attr: usize,
+        incumbent_gain: f64,
+        incumbent_attr: usize,
+    ) -> bool {
+        match challenger_gain.total_cmp(&incumbent_gain) {
             std::cmp::Ordering::Greater => true,
             std::cmp::Ordering::Less => false,
             std::cmp::Ordering::Equal => challenger_attr < incumbent_attr,
@@ -122,6 +138,11 @@ pub(crate) fn scan_presorted(
         return None;
     }
     match labels {
+        LabelView::Class(ys, k)
+            if imp == Impurity::Gini && present.len() <= GINI_EXACT_MAX_ROWS =>
+        {
+            crate::sorted::with_class_pair(k, |left, total| scan_gini(present, ys, left, total))
+        }
         LabelView::Class(ys, k) => crate::sorted::with_class_pair(k, |left, right| {
             for &(_, p) in present {
                 right.add(ys[p as usize]);
@@ -163,6 +184,63 @@ pub(crate) fn scan_presorted(
             best
         }
     }
+}
+
+/// Largest scan [`scan_gini`] takes. With at most `2^26` rows every class
+/// count is `<= 2^26`, so each `c²` and every partial sum of `Σ c²` is an
+/// integer `<= n² <= 2^52`: the O(k) `f64` sum in
+/// [`ClassCounts::weighted_impurity`] is then exact, and equals the
+/// incrementally kept `u64` sum converted once. Above the bound the scan
+/// falls back to the O(k) loop.
+const GINI_EXACT_MAX_ROWS: usize = 1 << 26;
+
+/// `n * gini` from the row count and the integer sum of squared class
+/// counts — the expression [`ClassCounts::weighted_impurity`] evaluates,
+/// operation for operation.
+#[inline]
+fn weighted_gini(n: u64, ssq: u64) -> f64 {
+    let n = n as f64;
+    n - ssq as f64 / n
+}
+
+/// The Gini boundary scan at `O(1)` per row: `Σ c²` of each side is kept as
+/// an integer and updated by `2c + 1` when a class count `c` grows by one
+/// (left) and by `-(2c - 1)` when it shrinks (right). Gains are bit-equal
+/// to the O(k) scan's (see [`GINI_EXACT_MAX_ROWS`]). `left` and `total`
+/// arrive empty; `total` gets the whole scan's counts and the right side's
+/// count of class `y` is read off as `total[y] - left[y]`.
+fn scan_gini(
+    present: &[(f64, u32)],
+    ys: &[u32],
+    left: &mut ClassCounts,
+    total: &mut ClassCounts,
+) -> Option<(f64, f64, usize)> {
+    for &(_, p) in present {
+        total.add(ys[p as usize]);
+    }
+    let n = present.len() as u64;
+    let mut ssq_left: u64 = 0;
+    let mut ssq_right: u64 = total.counts().iter().map(|&c| c * c).sum();
+    let total_w = weighted_gini(n, ssq_right);
+    let mut best: Option<(f64, f64, usize)> = None;
+    for i in 0..present.len() - 1 {
+        let y = ys[present[i].1 as usize];
+        let c_left = left.counts()[y as usize];
+        let c_right = total.counts()[y as usize] - c_left;
+        ssq_left += 2 * c_left + 1;
+        ssq_right -= 2 * c_right - 1;
+        left.add(y);
+        if present[i].0 < present[i + 1].0 {
+            let n_left = i as u64 + 1;
+            let gain =
+                total_w - weighted_gini(n_left, ssq_left) - weighted_gini(n - n_left, ssq_right);
+            let thr = boundary_threshold(present[i].0, present[i + 1].0);
+            if challenger_gain_wins(gain, thr, &best) {
+                best = Some((gain, thr, i));
+            }
+        }
+    }
+    best
 }
 
 /// Strict within-column order: higher gain, then smaller threshold.

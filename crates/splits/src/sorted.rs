@@ -23,6 +23,12 @@
 //!   sequence, hence bit-identical incremental gains.
 //! - Child statistics are accumulated over the node's rows in ascending
 //!   order on both paths, so floating-point sums agree to the last ULP.
+//! - Numeric kernels split into a score core (the boundary scan) and a
+//!   finish step (the child-statistics pass): column folds rank scores
+//!   ([`score_split_at`], [`fold_scores`]) and finish only the winner
+//!   ([`finish_split_at`]), so child statistics are built once per node
+//!   instead of once per candidate column. The split is the one
+//!   [`best_split_at`] returns, field for field.
 //!
 //! Because the two paths are byte-identical, the per-node [`NumericPath`]
 //! heuristic (scan the full presorted order vs. gather+sort the subset when
@@ -41,6 +47,7 @@ use crate::exact::{
 use crate::impurity::{ClassCounts, Impurity, LabelView, NodeStats, RegAgg};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use ts_datatable::sorted::{from_total_order_key, total_order_key};
 use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT};
 
 // ---------------------------------------------------------------------------
@@ -218,6 +225,7 @@ fn debug_assert_ascending(node: &NodeRows<'_>) {
 
 thread_local! {
     static PRESENT: Cell<Vec<(f64, u32)>> = const { Cell::new(Vec::new()) };
+    static KEYED: Cell<Vec<(u64, u32)>> = const { Cell::new(Vec::new()) };
     static CLASS_PAIR: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
     static CAT_CLASS: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
     static CAT_REG: Cell<Vec<RegAgg>> = const { Cell::new(Vec::new()) };
@@ -225,11 +233,15 @@ thread_local! {
     static MASK: Cell<RowBitmap> = const { Cell::new(RowBitmap { words: Vec::new() }) };
 }
 
-/// Borrows the pooled `(value, index)` gather buffer, cleared, with at least
-/// `min_cap` capacity. The buffer is taken out of the cell for the duration
-/// of `f`, so nested borrows degrade to a pool miss instead of panicking.
-pub(crate) fn with_present<R>(min_cap: usize, f: impl FnOnce(&mut Vec<(f64, u32)>) -> R) -> R {
-    PRESENT.with(|cell| {
+/// Borrows a pooled buffer from `cell`, cleared, with at least `min_cap`
+/// capacity. The buffer is taken out of the cell for the duration of `f`,
+/// so nested borrows degrade to a pool miss instead of panicking.
+fn with_pooled_vec<T: 'static, R>(
+    pool: &'static std::thread::LocalKey<Cell<Vec<T>>>,
+    min_cap: usize,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    pool.with(|cell| {
         let mut buf = cell.take();
         buf.clear();
         if buf.capacity() >= min_cap {
@@ -242,6 +254,16 @@ pub(crate) fn with_present<R>(min_cap: usize, f: impl FnOnce(&mut Vec<(f64, u32)
         cell.set(buf);
         r
     })
+}
+
+/// Borrows the pooled `(value, index)` scan buffer (see [`with_pooled_vec`]).
+pub(crate) fn with_present<R>(min_cap: usize, f: impl FnOnce(&mut Vec<(f64, u32)>) -> R) -> R {
+    with_pooled_vec(&PRESENT, min_cap, f)
+}
+
+/// Borrows the pooled `(sort key, index)` buffer of the gather arm's sort.
+fn with_keyed<R>(min_cap: usize, f: impl FnOnce(&mut Vec<(u64, u32)>) -> R) -> R {
+    with_pooled_vec(&KEYED, min_cap, f)
 }
 
 /// Borrows the pooled `(left, right)` class-count pair for a `k`-class scan,
@@ -379,6 +401,22 @@ fn sorted_scan_pays(n_node: usize, n_present_total: usize) -> bool {
     n_present_total <= n_node.saturating_mul(log2 + 2)
 }
 
+/// The winning boundary of a numeric exact scan, before any child
+/// statistics are built: what the cross-column fold ranks by, and all the
+/// finish step needs to rebuild the full split.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NumericScore {
+    /// Weighted impurity decrease over the node's present rows.
+    pub gain: f64,
+    /// The `Ai <= threshold` cut.
+    pub threshold: f64,
+    /// Position, in the node's sorted present rows, of the last row left of
+    /// the cut.
+    pub boundary: usize,
+    /// Where rows missing this attribute go: the larger present side.
+    pub missing_left: bool,
+}
+
 /// Exact best `Ai <= v` split of a full numeric column over a node's rows,
 /// using the presorted index — the sorted-engine counterpart of
 /// [`crate::exact::best_numeric_split`] (which takes gathered values).
@@ -408,6 +446,21 @@ pub fn best_numeric_split_at_path(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
+    score_numeric_at_path(path, values, index, node, mask, labels, imp)
+        .map(|score| finish_numeric_at(score, values, node, labels))
+}
+
+/// The numeric score core: the boundary scan of [`best_numeric_split_at_path`]
+/// without the child-statistics pass.
+fn score_numeric_at_path(
+    path: NumericPath,
+    values: &[f64],
+    index: &SortedColumn,
+    node: NodeRows<'_>,
+    mask: Option<&RowBitmap>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<NumericScore> {
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
     debug_assert_ascending(&node);
     let order = index.numeric_order();
@@ -419,13 +472,23 @@ pub fn best_numeric_split_at_path(
             mask.is_some() && sorted_scan_pays(rows.len(), order.len())
         }
     };
+    let scan = |present: &mut Vec<(f64, u32)>| {
+        let (gain, threshold, boundary) = scan_presorted(present, labels, imp)?;
+        let n_left_present = boundary + 1;
+        Some(NumericScore {
+            gain,
+            threshold,
+            boundary,
+            missing_left: n_left_present >= present.len() - n_left_present,
+        })
+    };
     if use_sorted {
         NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
         // The index caches the presorted *values* next to the row order, so
         // both arms below stream two parallel arrays sequentially — no
         // random access into the full column on the hot path.
         let svals = index.numeric_values();
-        with_present(node.len(), |present| {
+        with_present(order.len(), |present| {
             match node {
                 NodeRows::All(n) => {
                     debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
@@ -433,30 +496,59 @@ pub fn best_numeric_split_at_path(
                 }
                 NodeRows::Subset(_) => {
                     let mask = mask.expect("sorted scan over a row subset requires the node mask");
-                    for (&v, &r) in svals.iter().zip(order) {
-                        if mask.contains(r) {
-                            present.push((v, r));
-                        }
-                    }
+                    filter_presorted(svals, order, mask, present);
                 }
             }
-            let best = scan_presorted(present, labels, imp);
-            finish_numeric_at(best, present.len(), values, node, labels)
+            scan(present)
         })
     } else {
         NUMERIC_GATHER_SCANS.fetch_add(1, Relaxed);
         with_present(node.len(), |present| {
-            for r in node.iter() {
-                let v = values[r as usize];
-                if !v.is_nan() {
-                    present.push((v, r));
-                }
-            }
-            present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let best = scan_presorted(present, labels, imp);
-            finish_numeric_at(best, present.len(), values, node, labels)
+            gather_sorted(values, node, present);
+            scan(present)
         })
     }
+}
+
+/// Appends, in order, the presorted `(value, row)` pairs whose row is in
+/// `mask` — the node's slice of the column's presorted order.
+///
+/// Branchless: every pair is written to the next free slot and the slot
+/// only advances when the row is in the node, so the loop's cost does not
+/// depend on which rows the node holds.
+pub fn filter_presorted(svals: &[f64], order: &[u32], mask: &RowBitmap, out: &mut Vec<(f64, u32)>) {
+    assert_eq!(svals.len(), order.len(), "values/order length mismatch");
+    out.reserve(order.len());
+    let start = out.len();
+    let spare = out.spare_capacity_mut();
+    let mut kept = 0;
+    for (&v, &r) in svals.iter().zip(order) {
+        // SAFETY: `kept` is at most the number of pairs visited before this
+        // one, so `kept < order.len() <= spare.len()` (reserved above).
+        unsafe { spare.get_unchecked_mut(kept) }.write((v, r));
+        kept += usize::from(mask.contains(r));
+    }
+    // SAFETY: slots `0..kept` of the spare capacity were written above —
+    // the slot a kept pair lands in is never written again.
+    unsafe { out.set_len(start + kept) };
+}
+
+/// Replaces `present` with the node's non-missing `(value, row)` pairs in
+/// `(f64::total_cmp, row)` order — the gather arm's sort.
+///
+/// Sorts contiguous `(total_order_key, row)` pairs with plain integer order
+/// (no indirect comparator) and decodes the values bit for bit, the way
+/// [`SortedColumn::from_numeric`] presorts whole columns.
+pub fn gather_sorted(values: &[f64], node: NodeRows<'_>, present: &mut Vec<(f64, u32)>) {
+    present.clear();
+    with_keyed(node.len(), |keyed| {
+        keyed.extend(node.iter().filter_map(|r| {
+            let v = values[r as usize];
+            (!v.is_nan()).then(|| (total_order_key(v), r))
+        }));
+        keyed.sort_unstable();
+        present.extend(keyed.iter().map(|&(k, r)| (from_total_order_key(k), r)));
+    });
 }
 
 /// Child stats over a node's rows: same accumulation order as
@@ -480,32 +572,35 @@ pub(crate) fn child_stats_at(
     }
 }
 
+/// The numeric finish step: one pass over the node's rows building the
+/// scored cut's child statistics (missing rows on their side).
 fn finish_numeric_at(
-    best: Option<(f64, f64, usize)>,
-    n_present: usize,
+    score: NumericScore,
     values: &[f64],
     node: NodeRows<'_>,
     labels: LabelView<'_>,
-) -> Option<ColumnSplit> {
-    let (gain, thr, boundary) = best?;
-    let n_left_present = boundary + 1;
-    let n_right_present = n_present - n_left_present;
-    let missing_left = n_left_present >= n_right_present;
+) -> ColumnSplit {
+    let NumericScore {
+        gain,
+        threshold,
+        missing_left,
+        ..
+    } = score;
     let (left, right) = child_stats_at(node, labels, missing_left, |i| {
         let v = values[i];
         if v.is_nan() {
             None
         } else {
-            Some(v <= thr)
+            Some(v <= threshold)
         }
     });
-    Some(ColumnSplit {
-        test: SplitTest::NumericLe(thr),
+    ColumnSplit {
+        test: SplitTest::NumericLe(threshold),
         gain,
         missing_left,
         left,
         right,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -704,11 +799,34 @@ impl<'a> ColumnRef<'a> {
     }
 }
 
+/// A column's best split as ranked by the cross-column fold: numeric
+/// columns carry only their scored cut, whose child statistics
+/// [`finish_split_at`] builds for the winning column alone; categorical
+/// kernels return their full split.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScoredSplit {
+    /// A numeric column's cut, child statistics not yet built.
+    Numeric(NumericScore),
+    /// A categorical column's full split.
+    Full(ColumnSplit),
+}
+
+impl ScoredSplit {
+    /// The split's gain, identical to the finished split's.
+    pub fn gain(&self) -> f64 {
+        match self {
+            ScoredSplit::Numeric(s) => s.gain,
+            ScoredSplit::Full(s) => s.gain,
+        }
+    }
+}
+
 /// Sorted-engine counterpart of [`crate::exact::best_split_for_column`]:
 /// finds the same split without gathering, given the full column, its
 /// presorted index and the node's row set. The single entry point used by
 /// the subtree trainer, the distributed column-tasks and the Yggdrasil
-/// baseline — which is what keeps them byte-identical.
+/// baseline — which is what keeps them byte-identical. It is
+/// [`score_split_at`] followed by [`finish_split_at`].
 pub fn best_split_at(
     col: ColumnRef<'_>,
     node: NodeRows<'_>,
@@ -716,17 +834,68 @@ pub fn best_split_at(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
+    score_split_at(col, node, mask, labels, imp).map(|s| finish_split_at(col, node, labels, s))
+}
+
+/// Scores one column for a node: what [`best_split_at`] would pick, minus
+/// the numeric child-statistics pass.
+pub fn score_split_at(
+    col: ColumnRef<'_>,
+    node: NodeRows<'_>,
+    mask: Option<&RowBitmap>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ScoredSplit> {
     match (col, labels) {
         (ColumnRef::Numeric { values, index }, _) => {
-            best_numeric_split_at(values, index, node, mask, labels, imp)
+            score_numeric_at_path(NumericPath::Auto, values, index, node, mask, labels, imp)
+                .map(ScoredSplit::Numeric)
         }
         (ColumnRef::Categorical { codes, n_values }, LabelView::Class(ys, k)) => {
             best_cat_split_classification_at(codes, n_values, node, ys, k, imp)
+                .map(ScoredSplit::Full)
         }
         (ColumnRef::Categorical { codes, n_values }, LabelView::Real(ys)) => {
-            best_cat_split_regression_at(codes, n_values, node, ys)
+            best_cat_split_regression_at(codes, n_values, node, ys).map(ScoredSplit::Full)
         }
     }
+}
+
+/// Turns a score from [`score_split_at`] over the same column, node and
+/// labels into the full split [`best_split_at`] returns.
+pub fn finish_split_at(
+    col: ColumnRef<'_>,
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    scored: ScoredSplit,
+) -> ColumnSplit {
+    match (scored, col) {
+        (ScoredSplit::Numeric(score), ColumnRef::Numeric { values, .. }) => {
+            finish_numeric_at(score, values, node, labels)
+        }
+        (ScoredSplit::Full(split), _) => split,
+        (ScoredSplit::Numeric(_), ColumnRef::Categorical { .. }) => {
+            panic!("numeric score finished against a categorical column")
+        }
+    }
+}
+
+/// Folds scored columns `(key, attr, score)` into the winner under
+/// [`ColumnSplit::challenger_wins`]'s `(gain, attr)` order, returning the
+/// winner's key and score. Scores only — the caller finishes the winner.
+pub fn fold_scores<K>(
+    scores: impl IntoIterator<Item = (K, usize, ScoredSplit)>,
+) -> Option<(K, ScoredSplit)> {
+    let mut best: Option<(K, usize, ScoredSplit)> = None;
+    for (key, attr, score) in scores {
+        let wins = best.as_ref().is_none_or(|(_, battr, bs)| {
+            ColumnSplit::gain_wins(score.gain(), attr, bs.gain(), *battr)
+        });
+        if wins {
+            best = Some((key, attr, score));
+        }
+    }
+    best.map(|(key, _, score)| (key, score))
 }
 
 #[cfg(test)]

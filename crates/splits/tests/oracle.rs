@@ -5,12 +5,20 @@
 //! function, so the incremental kernels must land on the same floats. The
 //! regression oracles allow a small tolerance because the kernels accumulate
 //! `sum`/`sum_sq` incrementally while the oracle resums from scratch.
+//!
+//! The Gini boundary scan keeps `Σ c²` per side as an integer updated in
+//! `O(1)` per row; its oracle here is the brute-force scan through the
+//! `O(k)` [`ClassCounts::weighted_impurity`] sum, over several class counts
+//! and columns full of duplicates, infinities, signed zeros and NaN. Case
+//! seeds derive from `TS_SEED`.
 
+use ts_datatable::SortedColumn;
 use ts_datatable::MISSING_CAT;
 use ts_splits::exact::{
     best_cat_split_classification, best_cat_split_regression, best_numeric_split,
 };
 use ts_splits::impurity::{ClassCounts, Impurity, LabelView, RegAgg};
+use ts_splits::sorted::{best_split_at, ColumnRef, NodeRows};
 use tscheck::prelude::*;
 
 const K: u32 = 3;
@@ -24,17 +32,40 @@ fn numeric_class_data() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
     })
 }
 
+/// Columns built to stress the boundary scan: few distinct values (heavy
+/// duplicates), both infinities, both zeros (equal under `<`, so never a
+/// boundary between them) and missing rows.
+fn special_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    tscheck::collection::vec(
+        prop_oneof![
+            4 => (0u32..6).prop_map(|i| f64::from(i) * 0.5),
+            2 => -40.0..40.0f64,
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => Just(f64::NAN),
+        ],
+        n,
+    )
+}
+
 /// Naive exact numeric split for classification: for every boundary between
 /// adjacent distinct present values, rebuild both children's class counts
 /// from scratch and take the best strictly-positive gain.
 fn oracle_numeric_class(values: &[f64], ys: &[u32], imp: Impurity) -> Option<f64> {
+    oracle_numeric_k(values, ys, K, imp)
+}
+
+/// [`oracle_numeric_class`] for `k` classes.
+fn oracle_numeric_k(values: &[f64], ys: &[u32], k: u32, imp: Impurity) -> Option<f64> {
     let mut distinct: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
     distinct.sort_unstable_by(f64::total_cmp);
     distinct.dedup();
     if distinct.len() < 2 {
         return None;
     }
-    let mut total = ClassCounts::new(K);
+    let mut total = ClassCounts::new(k);
     for (i, v) in values.iter().enumerate() {
         if !v.is_nan() {
             total.add(ys[i]);
@@ -43,8 +74,8 @@ fn oracle_numeric_class(values: &[f64], ys: &[u32], imp: Impurity) -> Option<f64
     let total_w = total.weighted_impurity(imp);
     let mut best: Option<f64> = None;
     for cut in &distinct[..distinct.len() - 1] {
-        let mut left = ClassCounts::new(K);
-        let mut right = ClassCounts::new(K);
+        let mut left = ClassCounts::new(k);
+        let mut right = ClassCounts::new(k);
         for (i, v) in values.iter().enumerate() {
             if v.is_nan() {
                 continue;
@@ -86,6 +117,33 @@ proptest! {
                     "kernel {:?} vs oracle {:?} disagree on splittability", kernel, oracle
                 ),
             }
+        }
+    }
+
+    /// Gini at k = 2, 7 and 33 classes: the `O(1)`-per-row scan's gain is
+    /// the brute-force `O(k)` gain bit for bit, through both the gathered
+    /// kernel and the sorted-column engine.
+    #[test]
+    fn gini_scan_matches_bruteforce_bitwise(
+        (k, values, ys) in (prop_oneof![Just(2u32), Just(7u32), Just(33u32)], 2usize..160)
+            .prop_flat_map(|(k, n)| {
+                (Just(k), special_values(n), tscheck::collection::vec(0u32..k, n))
+            })
+    ) {
+        let labels = LabelView::Class(&ys, k);
+        let oracle = oracle_numeric_k(&values, &ys, k, Impurity::Gini);
+        let index = SortedColumn::from_numeric(&values);
+        let col = ColumnRef::Numeric { values: &values, index: &index };
+        let kernels = [
+            best_numeric_split(&values, labels, Impurity::Gini),
+            best_split_at(col, NodeRows::All(values.len()), None, labels, Impurity::Gini),
+        ];
+        for kernel in &kernels {
+            prop_assert_eq!(
+                kernel.as_ref().map(|s| s.gain.to_bits()),
+                oracle.map(f64::to_bits),
+                "k={}: kernel {:?} vs oracle {:?}", k, kernel, oracle
+            );
         }
     }
 

@@ -7,6 +7,11 @@
 //! no tolerance to hide behind. Deterministic edge-case tests cover ties,
 //! duplicates, NaN/missing routing, single-distinct, all-missing, and empty
 //! subsets.
+//!
+//! The engine's building blocks get their own oracles: the branchless
+//! node-mask filter against a plain branchy filter, the keyed gather sort
+//! against the `total_cmp` comparator sort, and score-then-finish against
+//! the one-call kernel, field by field.
 
 use ts_datatable::{SortedColumn, MISSING_CAT};
 use ts_splits::exact::{
@@ -16,7 +21,8 @@ use ts_splits::exact::{
 use ts_splits::impurity::{Impurity, LabelView};
 use ts_splits::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at_path,
-    distinct_categories_at, with_node_mask, NodeRows, NumericPath,
+    best_split_at, distinct_categories_at, filter_presorted, finish_split_at, fold_scores,
+    gather_sorted, score_split_at, with_node_mask, ColumnRef, NodeRows, NumericPath, RowBitmap,
 };
 use tscheck::prelude::*;
 
@@ -75,8 +81,192 @@ fn keep_mask(n: usize) -> impl Strategy<Value = Vec<bool>> {
     tscheck::collection::vec(any::<bool>(), n)
 }
 
+/// Node membership for the filter oracle: empty, full, or a random subset.
+fn node_rows(n: usize) -> impl Strategy<Value = Vec<u32>> {
+    (0u32..4, keep_mask(n)).prop_map(|(shape, keep)| match shape {
+        0 => Vec::new(),
+        1 => (0..keep.len() as u32).collect(),
+        _ => ascending_rows(&keep),
+    })
+}
+
+/// Values whose sort order is easy to get subtly wrong: signed zeros,
+/// subnormals, infinities and duplicates, plus missing rows.
+fn tricky_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    tscheck::collection::vec(
+        prop_oneof![
+            2 => (0u32..4).prop_map(f64::from),
+            2 => -40.0..40.0f64,
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => Just(f64::from_bits(1)),
+            1 => Just(-f64::from_bits(1)),
+            1 => Just(f64::MIN_POSITIVE / 4.0),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(f64::NAN),
+        ],
+        n,
+    )
+}
+
+/// The filter the branchless one replaces: keep a pair iff its row is in
+/// the node.
+fn branchy_filter(svals: &[f64], order: &[u32], mask: &RowBitmap) -> Vec<(f64, u32)> {
+    let mut out = Vec::new();
+    for (&v, &r) in svals.iter().zip(order) {
+        if mask.contains(r) {
+            out.push((v, r));
+        }
+    }
+    out
+}
+
+/// `(value bits, row)` pairs: bitwise comparison that tells `-0.0` from
+/// `0.0`.
+fn bits(pairs: &[(f64, u32)]) -> Vec<(u64, u32)> {
+    pairs.iter().map(|&(v, r)| (v.to_bits(), r)).collect()
+}
+
+/// Checks that `branchy_filter` and `filter_presorted` keep the same
+/// pairs, also when appending after existing contents.
+fn check_filter(values: &[f64], rows: &[u32]) {
+    let index = SortedColumn::from_numeric(values);
+    let (svals, order) = (index.numeric_values(), index.numeric_order());
+    let mut mask = RowBitmap::with_rows(values.len());
+    mask.insert_all(rows);
+    let want = branchy_filter(svals, order, &mask);
+    let mut got = Vec::new();
+    filter_presorted(svals, order, &mask, &mut got);
+    assert_eq!(bits(&got), bits(&want), "rows {rows:?}");
+    let mut appended = vec![(-1.0, u32::MAX)];
+    filter_presorted(svals, order, &mask, &mut appended);
+    assert_eq!(
+        bits(&appended[1..]),
+        bits(&want),
+        "append after rows {rows:?}"
+    );
+    assert_eq!(appended[0].1, u32::MAX, "existing contents must be kept");
+}
+
+/// The gather arm's sort, by comparator: what `gather_sorted` must equal.
+fn comparator_sorted(values: &[f64], node: NodeRows<'_>) -> Vec<(f64, u32)> {
+    let mut present: Vec<(f64, u32)> = node
+        .iter()
+        .map(|r| (values[r as usize], r))
+        .filter(|(v, _)| !v.is_nan())
+        .collect();
+    present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    present
+}
+
+/// Checks score-then-finish against the one-call kernel, field by field,
+/// over one column and node.
+fn check_score_finish(
+    col: ColumnRef<'_>,
+    node: NodeRows<'_>,
+    mask: Option<&RowBitmap>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Result<(), TestCaseError> {
+    let whole = best_split_at(col, node, mask, labels, imp);
+    let scored = score_split_at(col, node, mask, labels, imp);
+    prop_assert_eq!(scored.is_some(), whole.is_some(), "existence differs");
+    let (Some(scored), Some(whole)) = (scored, whole) else {
+        return Ok(());
+    };
+    prop_assert_eq!(scored.gain().to_bits(), whole.gain.to_bits(), "score gain");
+    let finished = finish_split_at(col, node, labels, scored);
+    prop_assert_eq!(&finished.test, &whole.test, "test");
+    prop_assert_eq!(finished.gain.to_bits(), whole.gain.to_bits(), "gain");
+    prop_assert_eq!(finished.missing_left, whole.missing_left, "missing_left");
+    prop_assert_eq!(&finished.left, &whole.left, "left stats");
+    prop_assert_eq!(&finished.right, &whole.right, "right stats");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The branchless node-mask filter keeps exactly the pairs the branchy
+    /// filter keeps, in the same order, for empty, full and random nodes.
+    #[test]
+    fn mask_filter_matches_branchy_filter(
+        (values, rows) in (0usize..300).prop_flat_map(|n| (numeric_values(n), node_rows(n)))
+    ) {
+        check_filter(&values, &rows);
+    }
+
+    /// The keyed gather sort equals the comparator sort bit for bit: signed
+    /// zeros, subnormals, infinities and duplicates keep `total_cmp` order
+    /// and row tie-breaks; NaN rows drop out.
+    #[test]
+    fn keyed_gather_sort_matches_comparator_sort(
+        (values, keep) in (0usize..200).prop_flat_map(|n| (tricky_values(n), keep_mask(n)))
+    ) {
+        let rows = ascending_rows(&keep);
+        for node in [NodeRows::Subset(&rows), NodeRows::All(values.len())] {
+            let mut keyed = vec![(7.0, 7)];
+            gather_sorted(&values, node, &mut keyed);
+            prop_assert_eq!(bits(&keyed), bits(&comparator_sorted(&values, node)));
+        }
+    }
+
+    /// Score then finish equals `best_split_at` field by field, for numeric
+    /// and categorical columns under class and real labels, on the whole
+    /// column and on a subset; folding scores picks the column folding
+    /// full splits picks.
+    #[test]
+    fn score_then_finish_matches_best_split_at(
+        (values, codes, ys_c, ys_r, keep) in (2usize..120).prop_flat_map(|n| {
+            (numeric_values(n), cat_codes(n), class_labels(n), real_labels(n), keep_mask(n))
+        })
+    ) {
+        let rows = ascending_rows(&keep);
+        let index = SortedColumn::from_numeric(&values);
+        let cols = [
+            ColumnRef::Numeric { values: &values, index: &index },
+            ColumnRef::Categorical { codes: &codes, n_values: NV },
+            ColumnRef::Numeric { values: &values, index: &index },
+        ];
+        let label_kinds = [
+            (LabelView::Class(&ys_c, K), Impurity::Gini),
+            (LabelView::Class(&ys_c, K), Impurity::Entropy),
+            (LabelView::Real(&ys_r), Impurity::Variance),
+        ];
+        for (labels, imp) in label_kinds {
+            with_node_mask(values.len(), &rows, |mask| {
+                let nodes = [
+                    (NodeRows::All(values.len()), None),
+                    (NodeRows::Subset(&rows), Some(mask)),
+                ];
+                for (node, mask) in nodes {
+                    for &col in &cols {
+                        check_score_finish(col, node, mask, labels, imp)?;
+                    }
+                    // Columns 0 and 2 tie exactly: the smaller attr must win.
+                    let mut full: Option<(usize, ColumnSplit)> = None;
+                    for (attr, &col) in cols.iter().enumerate() {
+                        let Some(s) = best_split_at(col, node, mask, labels, imp) else {
+                            continue;
+                        };
+                        let wins = full
+                            .as_ref()
+                            .is_none_or(|(ba, bs)| ColumnSplit::challenger_wins(&s, attr, bs, *ba));
+                        if wins {
+                            full = Some((attr, s));
+                        }
+                    }
+                    let folded = fold_scores(cols.iter().enumerate().filter_map(|(attr, &col)| {
+                        Some((attr, attr, score_split_at(col, node, mask, labels, imp)?))
+                    }))
+                    .map(|(attr, s)| (attr, finish_split_at(cols[attr], node, labels, s)));
+                    prop_assert_eq!(folded, full);
+                }
+                Ok(())
+            })?;
+        }
+    }
 
     /// Numeric classification over random subsets: both explicit engine
     /// paths equal the legacy gather kernel, for Gini and entropy.
@@ -322,4 +512,24 @@ fn empty_subset_yields_no_split() {
         best_cat_split_regression_at(&codes, NV, NodeRows::Subset(&[]), &reals),
         None
     );
+}
+
+#[test]
+fn mask_filter_on_word_boundaries_and_ends() {
+    // 193 rows span four 64-bit mask words: exercise the first and last
+    // row and the rows either side of each word boundary.
+    let values: Vec<f64> = (0..193u32).map(|i| f64::from((i * 37) % 101)).collect();
+    let all: Vec<u32> = (0..193).collect();
+    for rows in [
+        vec![],
+        vec![0],
+        vec![192],
+        vec![63, 64],
+        vec![127, 128],
+        vec![0, 63, 64, 127, 128, 191, 192],
+        all.clone(),
+    ] {
+        check_filter(&values, &rows);
+    }
+    check_filter(&[], &[]);
 }

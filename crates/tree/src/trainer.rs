@@ -15,7 +15,10 @@ use ts_splits::condition::partition_rows_buf;
 use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
-use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows, RowBitmap};
+use ts_splits::sorted::{
+    distinct_categories_at, finish_split_at, fold_scores, score_split_at, ColumnRef, NodeRows,
+    RowBitmap, ScoredSplit,
+};
 use tsrand::rngs::StdRng;
 use tsrand::seq::SliceRandom;
 use tsrand::SeedableRng;
@@ -230,12 +233,11 @@ impl Builder<'_> {
                 };
                 let mask = if whole { None } else { Some(&self.mask) };
 
-                let eval = |i: usize| {
-                    let col = ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
-                    best_split_at(col, node, mask, view, imp)
-                };
+                let col =
+                    |i: usize| ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
+                let eval = |i: usize| score_split_at(col(i), node, mask, view, imp);
                 let threads = self.params.threads;
-                let results: Vec<Option<ColumnSplit>> =
+                let scores: Vec<Option<ScoredSplit>> =
                     if threads != 1 && data.n_cols() > 1 && positions.len() >= PAR_COLS_MIN_ROWS {
                         tspar::par_map_range(data.n_cols(), threads, eval)
                     } else {
@@ -246,24 +248,14 @@ impl Builder<'_> {
                 }
 
                 // Fold in column order — the same strict total order as the
-                // sequential loop, regardless of which thread found what.
-                let mut best: Option<(usize, ColumnSplit)> = None;
-                for (i, s) in results.into_iter().enumerate() {
-                    let Some(s) = s else { continue };
-                    let wins = match &best {
-                        None => true,
-                        Some((bi, bs)) => ColumnSplit::challenger_wins(
-                            &s,
-                            self.data.attrs[i],
-                            bs,
-                            self.data.attrs[*bi],
-                        ),
-                    };
-                    if wins {
-                        best = Some((i, s));
-                    }
-                }
-                best
+                // sequential loop, regardless of which thread found what —
+                // then build child stats for the winner only.
+                let scored = scores
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| Some((i, data.attrs[i], s?)));
+                let (i, best) = fold_scores(scored)?;
+                Some((i, finish_split_at(col(i), node, view, best)))
             }
             TrainMode::ExtraTrees => {
                 // Resample columns in random order until one can split; a
